@@ -24,7 +24,6 @@
 #include "src/chain/blockchain.h"
 #include "src/chain/mempool.h"
 #include "src/chain/pow.h"
-#include "src/chain/tx_conflict.h"
 #include "src/chain/wallet.h"
 #include "src/common/worker_pool.h"
 #include "src/core/environment.h"
@@ -426,43 +425,30 @@ ForkValidationRun RunForkValidation(int forks, int depth, int txs_per_block,
   return run;
 }
 
-// ---- section 2d: intra-block parallel execution ---------------------------
+// ---- section 2d: block execution ------------------------------------------
 //
-// One wide block of pairwise-independent funded transfers (a single
-// conflict-free wave — the best case for ApplyBlockBodyParallel) is
-// applied repeatedly to the same base state: once through the serial
-// oracle, then through the parallel executor at each thread count. The
-// receipts digest and post-state liquid value are deterministic witnesses;
-// any divergence across paths or thread counts fails the run. Wall-clock
-// speedup over the serial loop is the PR 7 headline number.
-
-struct BlockExecThreadRun {
-  int threads = 0;
-  double wall_ms = 0;
-  double txs_per_sec = 0;
-  double speedup = 0;  ///< serial_wall_ms / wall_ms.
-};
+// One wide block of pairwise-independent funded transfers is applied
+// repeatedly to the same base state through ApplyBlockBody. The receipts
+// digest and post-state liquid value are deterministic witnesses; a body
+// that fails to apply fails the run.
 
 struct BlockExecRun {
   int body_txs = 0;
   int repeats = 0;
-  size_t waves = 0;            ///< Deterministic: conflict-graph depth.
   std::string receipts_digest; ///< Deterministic witness over all receipts.
   chain::Amount post_liquid = 0;  ///< Deterministic post-state witness.
-  bool thread_invariant = true;
-  double serial_wall_ms = 0;
-  double serial_txs_per_sec = 0;
-  std::vector<BlockExecThreadRun> per_thread;
+  bool ok = true;
+  double wall_ms = 0;
+  double txs_per_sec = 0;
 };
 
-BlockExecRun RunBlockExecution(int body_txs, int repeats,
-                               const std::vector<int>& thread_counts) {
+BlockExecRun RunBlockExecution(int body_txs, int repeats) {
   chain::ChainParams params = chain::TestChainParams();
   params.difficulty_bits = 4;
   params.max_block_txs = static_cast<size_t>(body_txs);
 
   // One funded key per transaction: every transfer consumes its own
-  // allocation, so the body is one wide conflict-free wave.
+  // allocation.
   std::vector<crypto::KeyPair> keys;
   std::vector<chain::TxOutput> allocations;
   for (int i = 0; i < body_txs; ++i) {
@@ -487,11 +473,10 @@ BlockExecRun RunBlockExecution(int body_txs, int repeats,
   run.repeats = repeats;
   if (!block.ok()) {
     std::fprintf(stderr, "block execution: assembly failed\n");
-    run.thread_invariant = false;
+    run.ok = false;
     return run;
   }
   run.body_txs = static_cast<int>(block->txs.size()) - 1;
-  run.waves = chain::BuildExecutionWaves(block->txs).size();
   const chain::LedgerState& base = source.head()->state;
 
   const auto digest_of = [](const std::vector<chain::Receipt>& receipts) {
@@ -503,56 +488,32 @@ BlockExecRun RunBlockExecution(int body_txs, int repeats,
     return crypto::Hash256::Of(all).ToHex();
   };
 
-  {  // Serial oracle baseline.
-    const Clock::time_point t0 = Clock::now();
-    for (int rep = 0; rep < repeats; ++rep) {
-      chain::LedgerState state = base;
-      auto receipts = chain::ApplyBlockBody(&state, *block, params);
-      if (!receipts.ok()) {
-        run.thread_invariant = false;
-        return run;
-      }
-      if (rep == 0) {
-        run.receipts_digest = digest_of(*receipts);
-        run.post_liquid = state.LiquidValue();
-      }
+  const Clock::time_point t0 = Clock::now();
+  for (int rep = 0; rep < repeats; ++rep) {
+    chain::LedgerState state = base;
+    auto receipts = chain::ApplyBlockBody(&state, *block, params);
+    if (!receipts.ok()) {
+      run.ok = false;
+      return run;
     }
-    run.serial_wall_ms = ElapsedMs(t0);
+    if (rep == 0) {
+      run.receipts_digest = digest_of(*receipts);
+      run.post_liquid = state.LiquidValue();
+    }
   }
+  run.wall_ms = ElapsedMs(t0);
   const double total_txs =
       static_cast<double>(run.body_txs) * static_cast<double>(repeats);
-  run.serial_txs_per_sec =
-      run.serial_wall_ms > 0 ? total_txs / (run.serial_wall_ms / 1000.0) : 0;
-
-  for (int threads : thread_counts) {
-    common::WorkerPool pool(threads);
-    BlockExecThreadRun per;
-    per.threads = pool.threads();
-    const Clock::time_point t0 = Clock::now();
-    for (int rep = 0; rep < repeats; ++rep) {
-      chain::LedgerState state = base;
-      auto receipts = chain::ApplyBlockBodyParallel(&state, *block, params,
-                                                    &pool);
-      if (!receipts.ok() || digest_of(*receipts) != run.receipts_digest ||
-          state.LiquidValue() != run.post_liquid) {
-        run.thread_invariant = false;
-      }
-    }
-    per.wall_ms = ElapsedMs(t0);
-    per.txs_per_sec = per.wall_ms > 0 ? total_txs / (per.wall_ms / 1000.0) : 0;
-    per.speedup = per.wall_ms > 0 ? run.serial_wall_ms / per.wall_ms : 0;
-    run.per_thread.push_back(per);
-  }
+  run.txs_per_sec = run.wall_ms > 0 ? total_txs / (run.wall_ms / 1000.0) : 0;
   return run;
 }
 
 // ---- section 2e: deep-chain catch-up --------------------------------------
 //
 // A purely linear chain (the worst case for SubmitBlocks' cross-fork
-// parallelism: every round is one block wide) with wide transfer bodies.
-// Width-1 rounds hand the batch pool down into intra-block execution, so
-// catch-up replay now scales with threads even without forks. Head hash
-// and acceptance are the deterministic self-check.
+// parallelism: every round is one block wide) with wide transfer bodies,
+// replayed at each thread count. Head hash and acceptance are the
+// deterministic self-check.
 
 struct CatchupThreadRun {
   int threads = 0;
@@ -692,7 +653,7 @@ int main(int argc, char** argv) {
   const int exec_repeats = context.smoke ? 30 : 150;
   const int catchup_depth = context.smoke ? 15 : 100;
   const int catchup_txs = 24;
-  const std::vector<int> exec_threads = {1, 2, 4, 8};
+  const std::vector<int> catchup_threads = {1, 2, 4, 8};
 
   benchutil::PrintHeader(
       "Engine hot paths — blocks/sec vs chain length, mining-sim rate,\n"
@@ -760,26 +721,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  BlockExecRun exec = RunBlockExecution(exec_body_txs, exec_repeats,
-                                        exec_threads);
-  std::printf("\nblock execution: %d-tx block x%d (%zu wave%s) — serial "
-              "%.1f ms (%.0f txs/s)\n",
-              exec.body_txs, exec.repeats, exec.waves,
-              exec.waves == 1 ? "" : "s", exec.serial_wall_ms,
-              exec.serial_txs_per_sec);
-  for (const BlockExecThreadRun& per : exec.per_thread) {
-    std::printf("block execution[%d threads]: %.1f ms — %.0f txs/s "
-                "(%.2fx)\n",
-                per.threads, per.wall_ms, per.txs_per_sec, per.speedup);
-  }
-  if (!exec.thread_invariant) {
-    std::fprintf(stderr,
-                 "block execution: parallel path diverged from serial\n");
+  BlockExecRun exec = RunBlockExecution(exec_body_txs, exec_repeats);
+  std::printf("\nblock execution: %d-tx block x%d — %.1f ms (%.0f txs/s)\n",
+              exec.body_txs, exec.repeats, exec.wall_ms, exec.txs_per_sec);
+  if (!exec.ok) {
+    std::fprintf(stderr, "block execution: body failed to apply\n");
     return 1;
   }
 
   CatchupRun catchup = RunDeepCatchup(catchup_depth, catchup_txs,
-                                      exec_threads);
+                                      catchup_threads);
   for (const CatchupThreadRun& per : catchup.per_thread) {
     std::printf("deep catchup[%d threads]: %zu blocks x %d txs — %.1f ms "
                 "(%.0f blocks/s, %.2fx)\n",
@@ -871,10 +822,8 @@ int main(int argc, char** argv) {
   runner::Json exec_json = runner::Json::Object();
   exec_json.Set("body_txs", exec.body_txs);
   exec_json.Set("repeats", exec.repeats);
-  exec_json.Set("waves", exec.waves);
   exec_json.Set("receipts_digest", exec.receipts_digest);
   exec_json.Set("post_liquid", exec.post_liquid);
-  exec_json.Set("thread_invariant", exec.thread_invariant);
   results.Set("block_execution", std::move(exec_json));
   runner::Json catchup_json = runner::Json::Object();
   catchup_json.Set("depth", catchup.depth);
@@ -918,18 +867,8 @@ int main(int argc, char** argv) {
   fork_wall.Set("parallel_blocks_per_sec", fork.parallel_blocks_per_sec);
   wall.Set("fork_validation", std::move(fork_wall));
   runner::Json exec_wall = runner::Json::Object();
-  exec_wall.Set("serial_wall_ms", exec.serial_wall_ms);
-  exec_wall.Set("serial_txs_per_sec", exec.serial_txs_per_sec);
-  runner::Json exec_threads_wall = runner::Json::Array();
-  for (const BlockExecThreadRun& per : exec.per_thread) {
-    runner::Json cell = runner::Json::Object();
-    cell.Set("threads", per.threads);
-    cell.Set("wall_ms", per.wall_ms);
-    cell.Set("txs_per_sec", per.txs_per_sec);
-    cell.Set("speedup", per.speedup);
-    exec_threads_wall.Push(std::move(cell));
-  }
-  exec_wall.Set("per_thread", std::move(exec_threads_wall));
+  exec_wall.Set("wall_ms", exec.wall_ms);
+  exec_wall.Set("txs_per_sec", exec.txs_per_sec);
   wall.Set("block_execution", std::move(exec_wall));
   runner::Json catchup_wall = runner::Json::Array();
   for (const CatchupThreadRun& per : catchup.per_thread) {

@@ -31,7 +31,14 @@ const char* Logger::LevelName(LogLevel level) {
 
 void Logger::Write(LogLevel level, const std::string& message) {
   if (level < g_level) return;
-  std::cerr << "[" << LevelName(level) << "] " << message << "\n";
+  // One insertion per line: stderr is unbuffered, so each << is its own
+  // write, and lines from concurrent sweep workers would interleave.
+  std::string line = "[";
+  line += LevelName(level);
+  line += "] ";
+  line += message;
+  line += '\n';
+  std::cerr << line;
 }
 
 namespace internal {

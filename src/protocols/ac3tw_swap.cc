@@ -73,8 +73,7 @@ void Ac3twSwapEngine::TryPublish(EdgeRt* rt) {
                                 chain->params().deploy_fee,
                                 static_cast<uint64_t>(now) ^ rt->edge.to);
     if (!tx.ok()) {
-      AC3_LOG(kWarn) << sender->name()
-                     << " cannot fund CentralizedSC: " << tx.status().ToString();
+      WarnCannotFund(rt, *sender, "CentralizedSC", tx.status());
       return;
     }
     rt->deploy_tx = *tx;

@@ -142,8 +142,7 @@ void Ac3wnSwapEngine::TryPublish(EdgeRt* rt) {
                           rt->edge.amount, asset_chain->params().deploy_fee,
                           static_cast<uint64_t>(now) ^ rt->edge.to);
     if (!tx.ok()) {
-      AC3_LOG(kWarn) << sender->name() << " cannot fund PermissionlessSC: "
-                     << tx.status().ToString();
+      WarnCannotFund(rt, *sender, "PermissionlessSC", tx.status());
       return;
     }
     rt->deploy_tx = *tx;

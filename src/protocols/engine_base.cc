@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/logging.h"
 #include "src/contracts/atomic_swap_contract.h"
 
 namespace ac3::protocols {
@@ -150,7 +151,10 @@ bool SwapEngineBase::PaceResend(TimePoint* last_attempt) {
 void SwapEngineBase::RunStep() {
   if (done_ || !started_) return;
   Step();
-  if (IsComplete()) done_ = true;
+  if (IsComplete()) {
+    done_ = true;
+    FinalizeReport();
+  }
 }
 
 bool SwapEngineBase::TxConfirmedAtDepth(const chain::Blockchain* chain,
@@ -191,6 +195,15 @@ void SwapEngineBase::TrackSettlement(EdgeState* edge) {
     OnEdgeSettled(edge);
     return;
   }
+}
+
+void SwapEngineBase::WarnCannotFund(EdgeState* edge, const Participant& sender,
+                                    const char* contract,
+                                    const Status& status) {
+  if (edge->fund_warned) return;
+  edge->fund_warned = true;
+  AC3_LOG(kWarn) << sender.name() << " cannot fund " << contract << ": "
+                 << status.ToString();
 }
 
 void SwapEngineBase::GossipDeploy(EdgeState* edge, Participant* sender) {

@@ -103,7 +103,7 @@ class SwapEngineBase {
   const SwapReport& report() const { return report_; }
 
   /// Start() + run the simulation until done or `deadline`; finalizes and
-  /// returns the report.
+  /// returns the report (a timed-out run's report too).
   Result<SwapReport> Run(TimePoint deadline);
 
  protected:
@@ -116,6 +116,7 @@ class SwapEngineBase {
     /// sender's wallet funds).
     chain::Transaction deploy_tx;
     bool deploy_built = false;      ///< deploy_tx holds a signed transaction.
+    bool fund_warned = false;       ///< A failed deploy build was logged.
     TimePoint last_submit = -1;     ///< Last deploy gossip (retry pacing).
     bool publish_confirmed = false; ///< Deploy canonical at confirm_depth.
     /// Settlement call, same build-once discipline.
@@ -229,6 +230,12 @@ class SwapEngineBase {
   /// Re-gossips the edge's built deploy transaction from `sender` when the
   /// resubmit interval has elapsed, and arms the retry heartbeat.
   void GossipDeploy(EdgeState* edge, Participant* sender);
+
+  /// Logs that `sender` cannot fund the edge's `contract` deploy, once per
+  /// edge: Step() retries the build on every wake, silently after the
+  /// first failure.
+  void WarnCannotFund(EdgeState* edge, const Participant& sender,
+                      const char* contract, const Status& status);
 
   /// True when every edge's deploy is publicly recognized.
   bool AllPublished() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "src/common/logging.h"
 #include "src/contracts/atomic_swap_contract.h"
 #include "src/contracts/htlc_contract.h"
 
@@ -125,8 +124,7 @@ void HerlihySwapEngine::TryPublish(EdgeRt* rt) {
                                 chain->params().deploy_fee,
                                 static_cast<uint64_t>(now) ^ rt->edge.to);
     if (!tx.ok()) {
-      AC3_LOG(kWarn) << sender->name()
-                     << " cannot fund HTLC: " << tx.status().ToString();
+      WarnCannotFund(rt, *sender, "HTLC", tx.status());
       return;
     }
     rt->deploy_tx = *tx;

@@ -85,8 +85,7 @@ void QuorumCommitEngine::TryPublish(EdgeRt* rt) {
                                 rt->edge.amount, chain->params().deploy_fee,
                                 static_cast<uint64_t>(now) ^ rt->edge.to);
     if (!tx.ok()) {
-      AC3_LOG(kWarn) << sender->name() << " cannot fund quorum contract: "
-                     << tx.status().ToString();
+      WarnCannotFund(rt, *sender, "quorum contract", tx.status());
       return;
     }
     rt->deploy_tx = *tx;

@@ -5,6 +5,8 @@
 
 #include "src/protocols/herlihy_swap.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/contracts/atomic_swap_contract.h"
@@ -128,6 +130,27 @@ TEST(NolanSwapTest, CounterpartyNeverPublishesLeadsToRefund) {
   EXPECT_EQ(report->CountOutcome(EdgeOutcome::kRefunded), 1);
   EXPECT_EQ(report->CountOutcome(EdgeOutcome::kUnpublished), 1);
   EXPECT_FALSE(report->AtomicityViolated());
+}
+
+TEST(NolanSwapTest, UnfundableDeployWarnsOncePerEdge) {
+  // Bob's leg exceeds his funding, so every publish retry fails to build
+  // his deploy; the failure is logged on the first attempt only.
+  SwapWorld world(NoWitness());
+  world.StartMining();
+  HerlihySwapEngine engine = MakeNolanTwoPartySwap(
+      world.env(), TwoPartyGraph(&world, 300, 50'000), world.participant(0),
+      world.participant(1), FastConfig());
+  testing::internal::CaptureStderr();
+  auto report = engine.Run(kDeadline);
+  const std::string log = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->CountOutcome(EdgeOutcome::kUnpublished), 1);
+  size_t warnings = 0;
+  for (size_t at = log.find("cannot fund HTLC"); at != std::string::npos;
+       at = log.find("cannot fund HTLC", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_EQ(warnings, 1u) << log;
 }
 
 TEST(HerlihySwapTest, ThreePartyRingCommits) {

@@ -294,6 +294,14 @@ TEST(MultiWitnessTest, FailedSwapDoesNotDisturbConcurrentSwap) {
   Status done = world.env()->sim()->RunUntilCondition(
       [&]() { return e1.Done() && e2.Done(); }, kDeadline);
   ASSERT_TRUE(done.ok());
+  // Done() means the report is already final: verdict, one EdgeReport per
+  // edge, finished — without Run().
+  for (const auto* engine : {&e1, &e2}) {
+    EXPECT_TRUE(engine->report().finished) << engine->report().Summary();
+    EXPECT_EQ(engine->report().edges.size(), 2u);
+  }
+  EXPECT_TRUE(e1.report().committed);
+  EXPECT_TRUE(e2.report().aborted);
   auto r1 = e1.Run(kDeadline);
   auto r2 = e2.Run(kDeadline);
   ASSERT_TRUE(r1.ok());
